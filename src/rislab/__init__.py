@@ -37,7 +37,6 @@ from .errors import (
 from .kernels import (
     ContactPotentialValue,
     Dissipation,
-    check_initial_stability,
     contact_potential,
     polyhedral,
     scaled_norm,
@@ -47,8 +46,6 @@ from .model import (
     EnergyModel,
     ParametrizedTuple,
     RISProblem,
-    grad_I,
-    grad_I_hat,
     make_energy,
 )
 from .paths import (
@@ -95,7 +92,6 @@ __all__ = [
     "build_load_hat",
     "build_parametrization",
     "check_differential",
-    "check_initial_stability",
     "check_local",
     "check_normalized_pbv",
     "check_relaxed",
@@ -107,8 +103,6 @@ __all__ = [
     "dissipation",
     "energy_residual",
     "from_csv",
-    "grad_I",
-    "grad_I_hat",
     "increasing_set",
     "kurzweil_stieltjes",
     "l1_distance",

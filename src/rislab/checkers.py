@@ -1,16 +1,34 @@
 """Certify or refute candidate solutions against the four solution concepts.
 
 Every checker returns a :class:`CheckReport` carrying one residual per
-condition.  Conditions that are affine in the data are evaluated exactly at
-segment limits; the elastic-set distance term is generally nonlinear in the
-curve parameter and is sampled with 16-node Gauss-Legendre quadrature per
-segment plus the segment endpoints.
+condition.  Conditions are evaluated on the segments of the joint refinement
+of the candidate's paths.
+
+Exact, read at segment limits and breakpoints:
+
+* ``endpoints``;
+* ``load_match_on_increasing_set`` and, off the plateaus of the time
+  reparametrization, ``load_compatibility`` (the load difference is affine on
+  each segment);
+* ``energy_inequality`` of ``check_local``, at every pair of points of its
+  physical grid (17 uniform points plus all breakpoints).
+
+Sampled: the elastic-set distance is generally nonlinear in the curve
+parameter.  ``complementarity``, ``normalization`` and ``energy_identity``
+therefore share one sample set: per segment the 16 Gauss-Legendre nodes plus
+both segment ends nudged inward.  The first two take the maximum over all 18
+points, the energy integrates its gap density with the Gauss nodes and
+weights.  ``local_stability`` and ``inclusion`` read the same samples, with
+physical time as the identity parametrization.  On each plateau,
+``load_compatibility`` searches its switch point over the plateau's
+breakpoints plus a 129-point grid, so a failing residual there is an upper
+bound.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -122,9 +140,6 @@ class IncreasingSet:
     def contains(self, s: float) -> bool:
         return any(lo < s < hi for lo, hi in self.intervals)
 
-    def measure(self) -> float:
-        return sum(hi - lo for lo, hi in self.intervals)
-
 
 def increasing_set(t_hat: LipschitzPath, slope_tol: float = SLOPE_TOL) -> IncreasingSet:
     if t_hat.dim != 1:
@@ -142,103 +157,121 @@ def increasing_set(t_hat: LipschitzPath, slope_tol: float = SLOPE_TOL) -> Increa
     return IncreasingSet(tuple((lo, hi) for lo, hi in intervals))
 
 
-def plateau_intervals(t_hat: LipschitzPath, slope_tol: float = SLOPE_TOL) -> list[tuple[float, float]]:
-    """Maximal intervals on which t_hat is constant."""
-    out: list[list[float]] = []
-    for k in range(t_hat.n_segments):
-        if t_hat.segment_slope(k)[0] <= slope_tol:
-            lo, hi = float(t_hat.breakpoints[k]), float(t_hat.breakpoints[k + 1])
-            if out and abs(out[-1][1] - lo) <= 1e-14:
-                out[-1][1] = hi
-            else:
-                out.append([lo, hi])
-    return [(lo, hi) for lo, hi in out]
+def _plateaus(t_hat: LipschitzPath) -> np.ndarray:
+    """Maximal intervals on which t_hat is constant, as (P, 2) rows.
+
+    These are the gaps of the increasing set in the domain [0, S].
+    """
+    inner = [x for interval in increasing_set(t_hat).intervals for x in interval]
+    edges = np.array([t_hat.breakpoints[0], *inner, t_hat.breakpoints[-1]]).reshape(-1, 2)
+    return edges[edges[:, 1] > edges[:, 0]]
+
+
+def _on_plateau(s: np.ndarray, plateaus: np.ndarray, slack: float = 1e-14) -> np.ndarray:
+    """Whether each point lies in a closed plateau widened by ``slack``."""
+    if not plateaus.size:
+        return np.zeros(s.shape, dtype=bool)
+    i = np.searchsorted(plateaus[:, 0] - slack, s, side="right") - 1
+    return (i >= 0) & (s <= plateaus[np.maximum(i, 0), 1] + slack)
 
 
 # ---------------------------------------------------------------------------
-# quadrature backbone for the parametrized conditions
+# shared sample set of the sampled conditions
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _SegmentArrays:
-    """Per-segment data of the jointly refined tuple, as flat arrays."""
+    """Per-segment data of a jointly refined (t, z, ell), as flat arrays."""
 
     lo: np.ndarray  # (K,)
     hi: np.ndarray  # (K,)
     t_slope: np.ndarray  # (K,)
     z_slope: np.ndarray  # (K, d)
-    z_lo: np.ndarray  # (K, d) right limits of z_hat at lo
-    ell_lo: np.ndarray  # (K, d) right limits of ell_hat at lo
+    z_lo: np.ndarray  # (K, d) right limits of z at lo
+    ell_lo: np.ndarray  # (K, d) right limits of ell at lo
     ell_slope: np.ndarray  # (K, d)
 
-    @property
-    def n(self) -> int:
-        return self.lo.size
 
+def _segments(
+    z: PiecewisePath, ell: PiecewisePath, t_hat: LipschitzPath | None = None
+) -> _SegmentArrays:
+    """Segments of the joint refinement of (t_hat, z, ell).
 
-def _tuple_segments(tup: ParametrizedTuple) -> _SegmentArrays:
-    ts = merge_breakpoints(
-        tup.t_hat.breakpoints, tup.z_hat.breakpoints, tup.ell_hat.breakpoints
-    )
-    th = tup.t_hat.with_breakpoints(ts)
-    zh = tup.z_hat.with_breakpoints(ts)
-    lh = tup.ell_hat.with_breakpoints(ts)
-    bp = th.breakpoints
+    Without ``t_hat`` the curve parameter is physical time, i.e. ``t_hat`` is
+    the identity and every time slope is 1.
+    """
+    paths = (z, ell) if t_hat is None else (t_hat, z, ell)
+    ts = merge_breakpoints(*(p.breakpoints for p in paths))
+    refined = [p.with_breakpoints(ts) for p in paths]
+    zr, lr = refined[-2:]
+    bp = refined[0].breakpoints
     return _SegmentArrays(
         lo=bp[:-1].copy(),
         hi=bp[1:].copy(),
-        t_slope=th.slopes()[:, 0],
-        z_slope=zh.slopes(),
-        z_lo=zh.right[:-1].copy(),
-        ell_lo=lh.right[:-1].copy(),
-        ell_slope=lh.slopes(),
+        t_slope=np.ones(bp.size - 1) if t_hat is None else refined[0].slopes()[:, 0],
+        z_slope=zr.slopes(),
+        z_lo=zr.right[:-1].copy(),
+        ell_lo=lr.right[:-1].copy(),
+        ell_slope=lr.slopes(),
     )
 
 
-def _sample_matrix(lo: np.ndarray, hi: np.ndarray, with_ends: bool):
-    """Per-segment evaluation points (K, m): Gauss nodes, optionally endpoints.
+def _sample_matrix(lo: np.ndarray, hi: np.ndarray):
+    """Per-segment sample points (K, 18) and Gauss weights (K, 16).
 
-    Endpoint samples are nudged inward so that they probe the segment interior
+    Columns 1..16 are the Gauss-Legendre nodes; columns 0 and 17 are the
+    segment ends, nudged inward so that they probe the segment interior
     (one-sided limits), matching the almost-everywhere reading.
     """
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     nodes = mid[:, None] + half[:, None] * _GL_X[None, :]
     weights = half[:, None] * _GL_W[None, :]
-    if with_ends:
-        eps = 1e-13 * np.maximum(1.0, np.abs(lo))
-        nodes = np.column_stack([lo + eps, nodes, hi - eps])
-    return nodes, weights
+    eps = 1e-13 * np.maximum(1.0, np.abs(lo))
+    return np.column_stack([lo + eps, nodes, hi - eps]), weights
 
 
-def _dist_matrix(problem: RISProblem, segs: _SegmentArrays, nodes: np.ndarray):
-    """Elastic-set distances and gradients at the sample points.
-
-    Returns (dist (K, m), grad (K, m, d), ell (K, m, d)).
-    """
+def _grad_and_load(problem: RISProblem, segs: _SegmentArrays, nodes: np.ndarray):
+    """Energy gradient and load at the sample points, each (K, m, d)."""
     K, m = nodes.shape
     d = segs.z_slope.shape[1]
     rel = nodes - segs.lo[:, None]
     Z = segs.z_lo[:, None, :] + segs.z_slope[:, None, :] * rel[:, :, None]
     L = segs.ell_lo[:, None, :] + segs.ell_slope[:, None, :] * rel[:, :, None]
     G = problem.energy.grad_many(Z.reshape(-1, d)).reshape(K, m, d)
+    return G, L
+
+
+def _dist_matrix(problem: RISProblem, segs: _SegmentArrays, nodes: np.ndarray):
+    """Elastic-set distances of the driving force at the sample points.
+
+    Returns (dist (K, m), grad (K, m, d), ell (K, m, d)).
+    """
+    G, L = _grad_and_load(problem, segs, nodes)
+    K, m, d = L.shape
     dist = problem.R.dist_to_elastic_many((L - G).reshape(-1, d)).reshape(K, m)
     return dist, G, L
 
 
-def _gap_increments(problem: RISProblem, segs: _SegmentArrays, lo, hi) -> np.ndarray:
-    """Per-segment integrals of the energy gap density over [lo, hi].
+def _worst(vals: np.ndarray, nodes: np.ndarray, key: str) -> tuple[float, object]:
+    """Largest sampled value, witnessed by its sample point when positive."""
+    k, j = np.unravel_index(np.argmax(vals), vals.shape)
+    worst = float(vals[k, j])
+    return worst, ({key: float(nodes[k, j])} if worst > 0 else None)
+
+
+def _gap_increments(problem: RISProblem, segs: _SegmentArrays, weights, dist, G, L) -> np.ndarray:
+    """Per-segment integrals of the energy gap density over the Gauss columns.
 
     The density R(z') + ||z'|| dist(ell - grad, elastic) + <grad - ell, z'> is
     pointwise nonnegative for any tuple, which is what makes the energy
     condition one-sided.
     """
-    nodes, weights = _sample_matrix(lo, hi, with_ends=False)
-    dist, G, L = _dist_matrix(problem, segs, nodes)
+    gauss = slice(1, -1)
     r_part = problem.R.eval_many(segs.z_slope)
     nz = np.linalg.norm(segs.z_slope, axis=1)
-    power = np.einsum("kmd,kd->km", G - L, segs.z_slope)
-    density = r_part[:, None] + nz[:, None] * dist + power
+    power = np.einsum("kmd,kd->km", G[:, gauss] - L[:, gauss], segs.z_slope)
+    density = r_part[:, None] + nz[:, None] * dist[:, gauss] + power
     return np.sum(weights * density, axis=1)
 
 
@@ -253,26 +286,20 @@ def energy_residual(
     """
     if not (0 <= s1 <= s2 <= tup.S + 1e-9):
         raise DomainError("need 0 <= s1 <= s2 <= S")
-    segs = _tuple_segments(tup)
+    segs = _segments(tup.z_hat, tup.ell_hat, tup.t_hat)
     lo = np.maximum(segs.lo, s1)
     hi = np.minimum(segs.hi, s2)
     mask = hi > lo
     if not np.any(mask):
         return 0.0
-    sub = _SegmentArrays(
-        lo=segs.lo[mask],
-        hi=segs.hi[mask],
-        t_slope=segs.t_slope[mask],
-        z_slope=segs.z_slope[mask],
-        z_lo=segs.z_lo[mask],
-        ell_lo=segs.ell_lo[mask],
-        ell_slope=segs.ell_slope[mask],
-    )
-    return float(np.sum(_gap_increments(problem, sub, lo[mask], hi[mask])))
+    sub = _SegmentArrays(**{f.name: getattr(segs, f.name)[mask] for f in fields(segs)})
+    nodes, weights = _sample_matrix(lo[mask], hi[mask])
+    dist, G, L = _dist_matrix(problem, sub, nodes)
+    return float(np.sum(_gap_increments(problem, sub, weights, dist, G, L)))
 
 
 # ---------------------------------------------------------------------------
-# shared condition evaluators
+# condition evaluators
 # ---------------------------------------------------------------------------
 
 
@@ -285,32 +312,18 @@ def _endpoint_condition(tup: ParametrizedTuple, problem: RISProblem) -> tuple[fl
     return res, wit
 
 
-def _complementarity_condition(tup, problem, segs: _SegmentArrays) -> tuple[float, object]:
-    nodes, _ = _sample_matrix(segs.lo, segs.hi, with_ends=True)
-    dist, _, _ = _dist_matrix(problem, segs, nodes)
-    vals = segs.t_slope[:, None] * dist
-    k, j = np.unravel_index(np.argmax(vals), vals.shape)
-    worst = float(vals[k, j])
-    return worst, ({"s": float(nodes[k, j])} if worst > 0 else None)
-
-
-def _normalization_condition(tup, problem, segs: _SegmentArrays) -> tuple[float, object]:
-    nodes, _ = _sample_matrix(segs.lo, segs.hi, with_ends=True)
-    dist, _, _ = _dist_matrix(problem, segs, nodes)
+def _normalization_condition(problem, segs: _SegmentArrays, nodes, dist) -> tuple[float, object]:
     r_part = problem.R.eval_many(segs.z_slope)
     nz = np.linalg.norm(segs.z_slope, axis=1)
     vals = np.abs(
         segs.t_slope[:, None] + r_part[:, None] + nz[:, None] * dist - 1.0
     )
-    k, j = np.unravel_index(np.argmax(vals), vals.shape)
-    worst = float(vals[k, j])
-    return worst, ({"s": float(nodes[k, j])} if worst > 0 else None)
+    return _worst(vals, nodes, "s")
 
 
-def _energy_condition(tup, problem, segs: _SegmentArrays) -> tuple[float, object]:
+def _energy_condition(segs: _SegmentArrays, increments: np.ndarray) -> tuple[float, object]:
     # the gap density is pointwise nonnegative, so the worst pair of curve
     # parameters is read off the cumulative gap at segment boundaries
-    increments = _gap_increments(problem, segs, segs.lo, segs.hi)
     cum = np.concatenate([[0.0], np.cumsum(increments)])
     bounds = np.concatenate([[segs.lo[0]], segs.hi])
     best, run_min, run_arg = 0.0, 0.0, 0
@@ -322,6 +335,25 @@ def _energy_condition(tup, problem, segs: _SegmentArrays) -> tuple[float, object
         if cum[j] < run_min:
             run_min, run_arg = cum[j], j
     return best, wit
+
+
+def _load_scan(tup, problem):
+    """The compose-and-diff load scan off the plateaus of t_hat.
+
+    Where time advances, ell_hat must equal load o t_hat.  Their difference is
+    affine on each open segment of the joint refinement, so its sup there is
+    the larger one-sided limit; segments inside a plateau are skipped.
+    Returns (worst, witness, difference path, plateaus).
+    """
+    diff = path_difference(tup.ell_hat, compose_monotone(problem.load, tup.t_hat))
+    plateaus = _plateaus(tup.t_hat)
+    bp = diff.breakpoints
+    res = np.maximum(np.linalg.norm(diff.right[:-1], axis=1), np.linalg.norm(diff.left[1:], axis=1))
+    res[_on_plateau(0.5 * (bp[:-1] + bp[1:]), plateaus)] = 0.0
+    k = int(np.argmax(res))
+    worst = float(res[k])
+    wit = {"interval": (float(bp[k]), float(bp[k + 1]))} if worst > 0 else None
+    return worst, wit, diff, plateaus
 
 
 def _sup_dev_open(path: PiecewisePath, lo: float, hi: float, target: np.ndarray) -> float:
@@ -339,59 +371,38 @@ def _sup_dev_open(path: PiecewisePath, lo: float, hi: float, target: np.ndarray)
     return sup
 
 
-def _one_sided_loads(load: PiecewisePath, t_star: float, T: float):
-    """Left/right load limits with the 0- := 0 and T+ := T conventions."""
-    lminus = load(0.0) if t_star <= 1e-14 else load.left_limit(t_star)
-    lplus = load(T) if t_star >= T - 1e-14 else load.right_limit(t_star)
-    return lminus, lplus
-
-
 def _set_dist(v: np.ndarray, candidates: Iterable[np.ndarray]) -> float:
     return min(float(np.linalg.norm(v - c)) for c in candidates)
 
 
 def _load_compatibility_condition(tup, problem) -> tuple[float, object]:
-    load = problem.load
-    t_hat, ell_hat = tup.t_hat, tup.ell_hat
-    worst, wit = 0.0, None
+    load, t_hat, ell_hat = problem.load, tup.t_hat, tup.ell_hat
+    worst, wit, diff, plateaus = _load_scan(tup, problem)
 
-    plateaus = plateau_intervals(t_hat)
+    # the admissible load values (left limit, point value, right limit) at the
+    # time of every breakpoint and of every plateau; the domain ends of a path
+    # carry the 0- := 0 and T+ := T conventions as their outward limits
+    bp = diff.breakpoints
+    n = bp.size
+    s_query = np.concatenate([bp, 0.5 * (plateaus[:, 0] + plateaus[:, 1])])
+    times = np.clip(t_hat.eval_many(s_query)[:, 0], 0.0, problem.T)
+    admissible = load.limits_many(times)
 
-    def in_plateau(s: float) -> bool:
-        return any(lo - 1e-14 <= s <= hi + 1e-14 for lo, hi in plateaus)
-
-    # outside plateaus the preimage of any time is a single point: the
-    # parametrized load must equal the composed load there (limit values on
-    # segment interiors, a three-point value set at load jumps)
-    comp = compose_monotone(load, t_hat)
-    diff = path_difference(ell_hat, comp)
-    for k in range(diff.n_segments):
-        lo, hi = float(diff.breakpoints[k]), float(diff.breakpoints[k + 1])
-        mid = 0.5 * (lo + hi)
-        if in_plateau(mid):
-            continue
-        r = max(
-            float(np.linalg.norm(diff.right[k])),
-            float(np.linalg.norm(diff.left[k + 1])),
-        )
-        if r > worst:
-            worst, wit = r, {"interval": (lo, hi)}
-    for k, s in enumerate(diff.breakpoints):
-        s = float(s)
-        if in_plateau(s):
-            continue
-        t_star = float(np.clip(t_hat(s)[0], 0.0, problem.T))
-        lminus, lplus = _one_sided_loads(load, t_star, problem.T)
-        r = _set_dist(ell_hat(s), [load(t_star), lminus, lplus])
-        if r > worst:
-            worst, wit = r, {"s": s}
+    # off plateaus the preimage of any time is a single point, so every
+    # breakpoint value of ell_hat must be one of the admissible values
+    ell = ell_hat.eval_many(bp)
+    res = np.min([np.linalg.norm(ell - lim[:n], axis=1) for lim in admissible], axis=0)
+    res[_on_plateau(bp, plateaus)] = 0.0
+    k = int(np.argmax(res))
+    if res[k] > worst:
+        worst, wit = float(res[k]), {"s": float(bp[k])}
 
     # on each plateau there must be a switch point: left-limit load before,
     # right-limit load after, and one of the three admissible values at it
-    for lo, hi in plateaus:
-        t_star = float(np.clip(t_hat(0.5 * (lo + hi))[0], 0.0, problem.T))
-        lminus, lplus = _one_sided_loads(load, t_star, problem.T)
-        allowed = [load(t_star), lminus, lplus]
+    for p, (lo, hi) in enumerate(plateaus.tolist()):
+        t_star = float(times[n + p])
+        lminus, lval, lplus = (lim[n + p] for lim in admissible)
+        allowed = [lval, lminus, lplus]
         cands = sorted(
             {lo, hi}
             | {float(s) for s in ell_hat.breakpoints if lo - 1e-14 <= s <= hi + 1e-14}
@@ -420,21 +431,7 @@ def _load_compatibility_condition(tup, problem) -> tuple[float, object]:
 
 def _load_match_condition(tup, problem) -> tuple[float, object]:
     """Parametrized load equals composed load a.e. where time advances."""
-    comp = compose_monotone(problem.load, tup.t_hat)
-    diff = path_difference(tup.ell_hat, comp)
-    M = increasing_set(tup.t_hat)
-    worst, wit = 0.0, None
-    for k in range(diff.n_segments):
-        lo, hi = float(diff.breakpoints[k]), float(diff.breakpoints[k + 1])
-        mid = 0.5 * (lo + hi)
-        if not M.contains(mid):
-            continue
-        r = max(
-            float(np.linalg.norm(diff.right[k])),
-            float(np.linalg.norm(diff.left[k + 1])),
-        )
-        if r > worst:
-            worst, wit = r, {"interval": (lo, hi)}
+    worst, wit, _, _ = _load_scan(tup, problem)
     return worst, wit
 
 
@@ -442,43 +439,43 @@ def _load_match_condition(tup, problem) -> tuple[float, object]:
 # public checkers
 # ---------------------------------------------------------------------------
 
+# concept -> its load condition; the other four conditions are shared
+_LOAD_CONDITIONS = {
+    "normalized_pbv": ("load_compatibility", _load_compatibility_condition),
+    "relaxed": ("load_match_on_increasing_set", _load_match_condition),
+}
+
+
+def _check_parametrized(
+    concept: str, tup: ParametrizedTuple, problem: RISProblem, tol: float
+) -> CheckReport:
+    segs = _segments(tup.z_hat, tup.ell_hat, tup.t_hat)
+    nodes, weights = _sample_matrix(segs.lo, segs.hi)
+    dist, G, L = _dist_matrix(problem, segs, nodes)
+    increments = _gap_increments(problem, segs, weights, dist, G, L)
+    load_cid, load_condition = _LOAD_CONDITIONS[concept]
+    table = (
+        ("endpoints", _endpoint_condition(tup, problem)),
+        ("complementarity", _worst(segs.t_slope[:, None] * dist, nodes, "s")),
+        ("normalization", _normalization_condition(problem, segs, nodes, dist)),
+        ("energy_identity", _energy_condition(segs, increments)),
+        (load_cid, load_condition(tup, problem)),
+    )
+    return CheckReport(concept, tuple(ConditionResult(cid, r, tol, w) for cid, (r, w) in table))
+
 
 def check_normalized_pbv(
     tup: ParametrizedTuple, problem: RISProblem, tol: float = DEFAULT_TOL
 ) -> CheckReport:
     """Full check against the parametrized solution concept with load compatibility."""
-    segs = _tuple_segments(tup)
-    conds = []
-    r, w = _endpoint_condition(tup, problem)
-    conds.append(ConditionResult("endpoints", r, tol, w))
-    r, w = _complementarity_condition(tup, problem, segs)
-    conds.append(ConditionResult("complementarity", r, tol, w))
-    r, w = _normalization_condition(tup, problem, segs)
-    conds.append(ConditionResult("normalization", r, tol, w))
-    r, w = _energy_condition(tup, problem, segs)
-    conds.append(ConditionResult("energy_identity", r, tol, w))
-    r, w = _load_compatibility_condition(tup, problem)
-    conds.append(ConditionResult("load_compatibility", r, tol, w))
-    return CheckReport("normalized_pbv", tuple(conds))
+    return _check_parametrized("normalized_pbv", tup, problem, tol)
 
 
 def check_relaxed(
     tup: ParametrizedTuple, problem: RISProblem, tol: float = DEFAULT_TOL
 ) -> CheckReport:
     """Check against the relaxed concept: load agreement only where time advances."""
-    segs = _tuple_segments(tup)
-    conds = []
-    r, w = _endpoint_condition(tup, problem)
-    conds.append(ConditionResult("endpoints", r, tol, w))
-    r, w = _complementarity_condition(tup, problem, segs)
-    conds.append(ConditionResult("complementarity", r, tol, w))
-    r, w = _normalization_condition(tup, problem, segs)
-    conds.append(ConditionResult("normalization", r, tol, w))
-    r, w = _energy_condition(tup, problem, segs)
-    conds.append(ConditionResult("energy_identity", r, tol, w))
-    r, w = _load_match_condition(tup, problem)
-    conds.append(ConditionResult("load_match_on_increasing_set", r, tol, w))
-    return CheckReport("relaxed", tuple(conds))
+    return _check_parametrized("relaxed", tup, problem, tol)
 
 
 def _physical_grid(problem: RISProblem, z: PiecewisePath, grid) -> np.ndarray:
@@ -499,23 +496,10 @@ def check_local(
 
     # stability holds off the finitely many discontinuity points; sample
     # segment interiors of the joint refinement
-    ts = merge_breakpoints(z.breakpoints, problem.load.breakpoints)
-    zr = z.with_breakpoints(ts)
-    lr = problem.load.with_breakpoints(ts)
-    worst_s, wit_s = 0.0, None
-    for k in range(zr.n_segments):
-        lo, hi = float(zr.breakpoints[k]), float(zr.breakpoints[k + 1])
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        samples = [lo + 1e-13 * max(1.0, abs(lo)), *(mid + half * _GL_X), hi - 1e-13 * max(1.0, abs(hi))]
-        zl, zh_ = zr.right[k], zr.left[k + 1]
-        ll, lh_ = lr.right[k], lr.left[k + 1]
-        for t in samples:
-            lam = (t - lo) / (hi - lo)
-            zt = (1 - lam) * zl + lam * zh_
-            lt = (1 - lam) * ll + lam * lh_
-            rres = problem.R.dist_to_elastic(lt - problem.energy.grad(zt))
-            if rres > worst_s:
-                worst_s, wit_s = rres, {"t": float(t)}
+    segs = _segments(z, problem.load)
+    nodes, _ = _sample_matrix(segs.lo, segs.hi)
+    dist, _, _ = _dist_matrix(problem, segs, nodes)
+    worst_s, wit_s = _worst(dist, nodes, "t")
 
     worst_e, wit_e = 0.0, None
     for i, t1 in enumerate(pts):
@@ -545,19 +529,12 @@ def check_differential(
         raise PreconditionError("differential candidates must be continuous")
     if abs(z.a) > 1e-12 or abs(z.b - problem.T) > 1e-9:
         raise PreconditionError("candidate must be defined on [0, T]")
-    ts = merge_breakpoints(z.breakpoints, problem.load.breakpoints)
-    zr = z.with_breakpoints(ts)
-    lr = problem.load.with_breakpoints(ts)
-    worst, wit = 0.0, None
-    for k in range(zr.n_segments):
-        lo, hi = float(zr.breakpoints[k]), float(zr.breakpoints[k + 1])
-        q = zr.segment_slope(k)
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        for t in [lo + 1e-13, *(mid + half * _GL_X), hi - 1e-13]:
-            lam = (t - lo) / (hi - lo)
-            zt = (1 - lam) * zr.right[k] + lam * zr.left[k + 1]
-            lt = (1 - lam) * lr.right[k] + lam * lr.left[k + 1]
-            res = problem.R.dist_to_subdiff(q, lt - problem.energy.grad(zt))
-            if res > worst:
-                worst, wit = res, {"t": float(t)}
+    segs = _segments(z, problem.load)
+    nodes, _ = _sample_matrix(segs.lo, segs.hi)
+    G, L = _grad_and_load(problem, segs, nodes)
+    res = np.array([
+        [problem.R.dist_to_subdiff(q, w) for w in force]
+        for q, force in zip(segs.z_slope, L - G)
+    ])
+    worst, wit = _worst(res, nodes, "t")
     return CheckReport("differential", (ConditionResult("inclusion", worst, tol, wit),))

@@ -51,6 +51,13 @@ def _load_path_arg(spec: str, T: float | None = None) -> PiecewisePath:
     return from_csv(spec)
 
 
+def _config_array(cfg: dict, key: str) -> np.ndarray:
+    try:
+        return np.asarray(cfg[key], dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"config field {key!r} must be a rectangular array of numbers") from None
+
+
 def _problem_from_config(cfg: dict) -> RISProblem:
     try:
         energy = make_energy(cfg["energy"]["A"], cfg["energy"].get("f"))
@@ -66,8 +73,8 @@ def _problem_from_config(cfg: dict) -> RISProblem:
             energy=energy,
             R=R,
             load=load,
-            z0=np.asarray(cfg["z0"], dtype=float),
-            ell0=np.asarray(cfg["ell0"], dtype=float),
+            z0=_config_array(cfg, "z0"),
+            ell0=_config_array(cfg, "ell0"),
             T=float(cfg["T"]),
             stability_tol=float(cfg.get("stability_tol", 1e-8)),
         )

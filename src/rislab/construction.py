@@ -54,8 +54,6 @@ class JumpInterval:
 @dataclass(frozen=True)
 class JumpDecomposition:
     jump_times: tuple[float, ...]
-    initial_jump: bool
-    triples: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     s_map: PiecewisePath  # scalar, strictly increasing, jumps at jump_times
     intervals: tuple[JumpInterval, ...]
 
@@ -106,7 +104,6 @@ def build_parametrization(
     nodes: list[tuple[float, float, np.ndarray]] = []
     s_left, s_val, s_right = [], [], []  # s_map node data per breakpoint of z
     jump_times: list[float] = []
-    triples = []
     intervals: list[JumpInterval] = []
 
     s = 0.0
@@ -118,7 +115,6 @@ def build_parametrization(
     r_b = R(z.right[0] - z.values[0])
     if r_a + r_b > _ZERO_JUMP_TOL:
         jump_times.append(0.0)
-        triples.append((z0.copy(), z.values[0].copy(), z.right[0].copy()))
         intervals.append(JumpInterval(0.0, 0.0, r_a, r_a + r_b))
         if r_a > _ZERO_JUMP_TOL:
             nodes.append((r_a, 0.0, z.values[0].copy()))
@@ -138,9 +134,6 @@ def build_parametrization(
         r_b = R(z.right[k + 1] - z.values[k + 1])
         if r_a + r_b > _ZERO_JUMP_TOL:
             jump_times.append(t_k1)
-            triples.append(
-                (z.left[k + 1].copy(), z.values[k + 1].copy(), z.right[k + 1].copy())
-            )
             intervals.append(JumpInterval(t_k1, s, s + r_a, s + r_a + r_b))
             if r_a > _ZERO_JUMP_TOL:
                 nodes.append((s + r_a, t_k1, z.values[k + 1].copy()))
@@ -159,11 +152,8 @@ def build_parametrization(
     s_map = PiecewisePath.from_nodes(
         bp, np.array(s_left)[:, None], np.array(s_val)[:, None], np.array(s_right)[:, None]
     )
-    initial = bool(jump_times and jump_times[0] == 0.0)
     decomp = JumpDecomposition(
         jump_times=tuple(jump_times),
-        initial_jump=initial,
-        triples=tuple(triples),
         s_map=s_map,
         intervals=tuple(intervals),
     )

@@ -278,17 +278,6 @@ def polyhedral(vertices) -> Dissipation:
     return Dissipation(kind="polyhedral", vertices=np.asarray(vertices, dtype=float))
 
 
-# -- convenience aliases ------------------------------------------------------
-
-
-def eval_R(R: Dissipation, v) -> float:
-    return R(v)
-
-
-def dist_to_subdiff0(R: Dissipation, w) -> float:
-    return R.dist_to_elastic(w)
-
-
 @dataclass(frozen=True)
 class ContactPotentialValue:
     """Split evaluation of the viscosity contact cost R(v) + ||v|| dist(w, elastic set)."""
@@ -308,10 +297,3 @@ def contact_potential(R: Dissipation, v, w) -> ContactPotentialValue:
         dist_part=float(np.linalg.norm(v)) * R.dist_to_elastic(w),
     )
 
-
-def check_initial_stability(R: Dissipation, energy, z0, ell0, tol: float = 1e-9):
-    """Residual of the start-state stability test; True iff within tolerance."""
-    z0 = np.atleast_1d(np.asarray(z0, dtype=float))
-    ell0 = np.atleast_1d(np.asarray(ell0, dtype=float))
-    residual = R.dist_to_elastic(-energy.grad(z0) + ell0)
-    return residual <= tol, residual

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -11,8 +10,6 @@ import numpy as np
 from .errors import PreconditionError
 from .kernels import Dissipation
 from .paths import LipschitzPath, PiecewisePath
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -24,7 +21,6 @@ class EnergyModel:
     f_grad: Callable[[np.ndarray], np.ndarray]
     f_hess: Optional[Callable[[np.ndarray], np.ndarray]] = None
     grad_affine: bool = False  # True iff D_zF is constant (F affine)
-    growth_q: Optional[float] = None
     name: str = "custom"
 
     def __post_init__(self):
@@ -67,41 +63,41 @@ class EnergyModel:
 # -- registry of smooth parts -------------------------------------------------
 
 
-def make_energy(A, f_spec: dict | None = None, growth_q: float | None = None) -> EnergyModel:
+def make_energy(A, f_spec: dict | None = None) -> EnergyModel:
     """Build an EnergyModel from a matrix and a smooth-part specification.
 
     Supported kinds: ``zero``; ``linear`` with vector ``b`` (F(z) = <b, z>);
     ``double_well`` with ``kappa`` (F(z) = kappa/4 (||z||^2 - 1)^2);
     ``polynomial`` with scalar ``coeffs`` c_0..c_p (dimension 1 only).
+    The smooth part may take negative values: the scalar benchmark energies
+    use a negative linear term.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     d = A.shape[0]
     spec = dict(f_spec or {"kind": "zero"})
     kind = spec.get("kind", "zero")
     if kind == "zero":
-        model = EnergyModel(
+        return EnergyModel(
             A,
             f_value=lambda z: 0.0,
             f_grad=lambda z: np.zeros(d),
             f_hess=lambda z: np.zeros((d, d)),
             grad_affine=True,
-            growth_q=growth_q,
             name="zero",
         )
-    elif kind == "linear":
+    if kind == "linear":
         b = np.atleast_1d(np.asarray(spec["b"], dtype=float))
         if b.size != d:
             raise PreconditionError("linear term has wrong dimension")
-        model = EnergyModel(
+        return EnergyModel(
             A,
             f_value=lambda z: float(b @ z),
             f_grad=lambda z: b.copy(),
             f_hess=lambda z: np.zeros((d, d)),
             grad_affine=True,
-            growth_q=growth_q,
             name="linear",
         )
-    elif kind == "double_well":
+    if kind == "double_well":
         kap = float(spec.get("kappa", 1.0))
 
         def dw_val(z):
@@ -113,40 +109,23 @@ def make_energy(A, f_spec: dict | None = None, growth_q: float | None = None) ->
         def dw_hess(z):
             return kap * ((float(z @ z) - 1.0) * np.eye(d) + 2.0 * np.outer(z, z))
 
-        model = EnergyModel(
-            A, dw_val, dw_grad, dw_hess, grad_affine=False, growth_q=growth_q or 2.0,
-            name="double_well",
-        )
-    elif kind == "polynomial":
+        return EnergyModel(A, dw_val, dw_grad, dw_hess, grad_affine=False, name="double_well")
+    if kind == "polynomial":
         if d != 1:
             raise PreconditionError("polynomial smooth part is scalar only")
         coeffs = np.asarray(spec["coeffs"], dtype=float)
         poly = np.polynomial.Polynomial(coeffs)
         dpoly = poly.deriv()
         ddpoly = dpoly.deriv()
-        model = EnergyModel(
+        return EnergyModel(
             A,
             f_value=lambda z: float(poly(z[0])),
             f_grad=lambda z: np.array([dpoly(z[0])]),
             f_hess=lambda z: np.array([[ddpoly(z[0])]]),
             grad_affine=coeffs.size <= 2,
-            growth_q=growth_q,
             name="polynomial",
         )
-    else:
-        raise PreconditionError(f"unknown smooth-part kind {kind!r}")
-
-    # nonnegativity of the smooth part is a modeling convention, not enforced:
-    # the scalar benchmark energies use a negative linear term
-    rng = np.random.default_rng(0)
-    samples = rng.normal(size=(8, d))
-    if any(model.f_value(s) < 0 for s in samples) and kind not in _warned_negative:
-        _warned_negative.add(kind)
-        log.warning("smooth energy part takes negative values; continuing anyway")
-    return model
-
-
-_warned_negative: set[str] = set()
+    raise PreconditionError(f"unknown smooth-part kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -186,15 +165,6 @@ class RISProblem:
     def grad_I(self, t: float, z) -> np.ndarray:
         """Spatial gradient of the time-dependent energy at (t, z)."""
         return self.energy.grad(z) - self.load(t)
-
-
-def grad_I(problem: RISProblem, t: float, z) -> np.ndarray:
-    return problem.grad_I(t, z)
-
-
-def grad_I_hat(energy: EnergyModel, ell_hat: PiecewisePath, s: float, z) -> np.ndarray:
-    """Spatial gradient of the reparametrized energy at (s, z)."""
-    return energy.grad(z) - ell_hat(s)
 
 
 @dataclass(frozen=True)

@@ -20,21 +20,20 @@ from .errors import DomainError, PreconditionError
 # Two breakpoints closer than this are merged when building refinements.
 BREAKPOINT_MERGE_TOL = 1e-12
 
-# Convention for the jump part of the Kurzweil-Stieltjes integral: an interior
-# jump of the integrator at t contributes <z(t), l(t+) - l(t-)>.  A load that
-# differs from a continuous one only in its value at a single point therefore
-# integrates to zero against any path.
-KURZWEIL_JUMP_RULE = "point-value-times-two-sided-increment"
+
+def _as_array(values) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise PreconditionError("path data must be a rectangular array of numbers") from None
 
 
-def _as_matrix(values, dim: int | None = None) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+def _as_matrix(values) -> np.ndarray:
+    arr = _as_array(values)
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2:
-        raise ValueError(f"expected 1-D or 2-D value array, got shape {arr.shape}")
-    if dim is not None and arr.shape[1] != dim:
-        raise ValueError(f"expected dimension {dim}, got {arr.shape[1]}")
+        raise PreconditionError(f"expected 1-D or 2-D value array, got shape {arr.shape}")
     return arr
 
 
@@ -53,23 +52,23 @@ class PiecewisePath:
     right: np.ndarray
 
     def __post_init__(self):
-        bp = np.asarray(self.breakpoints, dtype=float)
+        bp = _as_array(self.breakpoints)
         left = _as_matrix(self.left)
         vals = _as_matrix(self.values)
         right = _as_matrix(self.right)
         if bp.ndim != 1 or bp.size < 2:
-            raise ValueError("need at least two breakpoints")
+            raise PreconditionError("need at least two breakpoints")
         if not np.all(np.diff(bp) > 0):
-            raise ValueError("breakpoints must be strictly increasing")
+            raise PreconditionError("breakpoints must be strictly increasing")
         if not (left.shape == vals.shape == right.shape == (bp.size, vals.shape[1])):
-            raise ValueError("node arrays must share the shape (n_breakpoints, dim)")
+            raise PreconditionError("node arrays must share the shape (n_breakpoints, dim)")
         for arr in (bp, left, vals, right):
             if not np.all(np.isfinite(arr)):
-                raise ValueError("path data must be finite")
-        if not np.allclose(left[0], vals[0], atol=0.0):
-            raise ValueError("left limit at the left end must equal the point value")
-        if not np.allclose(right[-1], vals[-1], atol=0.0):
-            raise ValueError("right limit at the right end must equal the point value")
+                raise PreconditionError("path data must be finite")
+        if not np.array_equal(left[0], vals[0]):
+            raise PreconditionError("left limit at the left end must equal the point value")
+        if not np.array_equal(right[-1], vals[-1]):
+            raise PreconditionError("right limit at the right end must equal the point value")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "values", vals)
@@ -81,11 +80,11 @@ class PiecewisePath:
     def from_samples(ts: Sequence[float], ys) -> "PiecewisePath":
         """Continuous piecewise-linear interpolant of the nodes (ts, ys)."""
         ys = _as_matrix(ys)
-        return PiecewisePath(np.asarray(ts, dtype=float), ys, ys, ys)
+        return PiecewisePath(ts, ys, ys, ys)
 
     @staticmethod
     def from_nodes(ts, left, values, right) -> "PiecewisePath":
-        return PiecewisePath(np.asarray(ts, dtype=float), left, values, right)
+        return PiecewisePath(ts, left, values, right)
 
     @staticmethod
     def constant(a: float, b: float, value) -> "PiecewisePath":
@@ -140,26 +139,26 @@ class PiecewisePath:
         lam = (t - t0) / (t1 - t0)
         return (1.0 - lam) * self.right[k] + lam * self.left[k + 1]
 
-    def __call__(self, t: float) -> np.ndarray:
+    def _at(self, t: float, node_rows: np.ndarray) -> np.ndarray:
+        """Row of ``node_rows`` at a breakpoint, else the affine interior value.
+
+        The scalar counterpart of ``limits_many``, kept separate because a
+        one-point array call costs several times more.
+        """
         self._check_inside(t)
         j = self._node_index(t)
         if j is not None:
-            return self.values[j].copy()
+            return node_rows[j].copy()
         return self._affine_at(self._segment_of(t), t)
+
+    def __call__(self, t: float) -> np.ndarray:
+        return self._at(t, self.values)
 
     def left_limit(self, t: float) -> np.ndarray:
-        self._check_inside(t)
-        j = self._node_index(t)
-        if j is not None:
-            return self.left[j].copy()
-        return self._affine_at(self._segment_of(t), t)
+        return self._at(t, self.left)
 
     def right_limit(self, t: float) -> np.ndarray:
-        self._check_inside(t)
-        j = self._node_index(t)
-        if j is not None:
-            return self.right[j].copy()
-        return self._affine_at(self._segment_of(t), t)
+        return self._at(t, self.right)
 
     def is_continuous(self, tol: float = 0.0) -> bool:
         return bool(
@@ -261,7 +260,7 @@ class LipschitzPath(PiecewisePath):
     @staticmethod
     def from_samples(ts, ys) -> "LipschitzPath":
         ys = _as_matrix(ys)
-        return LipschitzPath(np.asarray(ts, dtype=float), ys, ys, ys)
+        return LipschitzPath(ts, ys, ys, ys)
 
     @staticmethod
     def identity(a: float, b: float) -> "LipschitzPath":
@@ -361,8 +360,10 @@ def kurzweil_stieltjes(z: PiecewisePath, ell: PiecewisePath, t1: float, t2: floa
     """Integral of z against dl over [t1, t2].
 
     Absolutely continuous parts are integrated in closed form (both factors are
-    affine per segment).  Jumps of the integrator follow KURZWEIL_JUMP_RULE:
-    interior jumps contribute <z(t), l(t+) - l(t-)>; the endpoints use their
+    affine per segment).  An interior jump of the integrator at t contributes
+    the point value times the two-sided increment, <z(t), l(t+) - l(t-)>, so a
+    load that differs from a continuous one only in its value at a single
+    point integrates to zero against any path.  The endpoints use their
     one-sided increments only.
     """
     _clip_interval(z, t1, t2)
@@ -488,9 +489,6 @@ class ConvergenceDiagnostics:
     var_gaps: tuple[float, ...]
     classification: str  # "intermediate", "weak*", "pointwise", or "divergent"
 
-    def rows(self):
-        return list(zip(self.sup_dists, self.l1_dists, self.var_gaps))
-
 
 def _converging(vals: Sequence[float], tol: float, decay: float) -> bool:
     if vals[-1] <= tol:
@@ -565,11 +563,18 @@ def from_csv(fp) -> PiecewisePath:
         header = handle.readline().strip().split(",")
         d, rem = divmod(len(header) - 1, 3)
         if rem != 0 or header[0] != "t":
-            raise ValueError("malformed path CSV header")
-        rows = [list(map(float, line.strip().split(","))) for line in handle if line.strip()]
+            raise PreconditionError("malformed path CSV header")
+        try:
+            rows = [list(map(float, line.strip().split(","))) for line in handle if line.strip()]
+        except ValueError:
+            raise PreconditionError("path CSV fields must be numbers") from None
     finally:
         if own:
             handle.close()
+    if not rows:
+        raise PreconditionError("path CSV has no data rows")
+    if any(len(row) != len(header) for row in rows):
+        raise PreconditionError(f"every path CSV row needs {len(header)} fields")
     data = np.array(rows)
     return PiecewisePath(
         data[:, 0], data[:, 1 : 1 + d], data[:, 1 + d : 1 + 2 * d], data[:, 1 + 2 * d :]

@@ -70,7 +70,10 @@ def solve_viscous(
     """March the regularized incremental problems across [0, T].
 
     The grid is uniform with the requested step, with every load breakpoint
-    inserted; at a load jump the step sees the post-jump value.
+    inserted.  Step k -> k+1 is driven by the right limit of the load at the
+    new grid point, so at a load jump the step sees the post-jump value; the
+    limits at all grid points are read from one ``limits_many`` call before
+    the loop.
     """
     if epsilon <= 0:
         raise PreconditionError("epsilon must be positive")
@@ -83,11 +86,10 @@ def solve_viscous(
     A = problem.energy.A
     states = np.empty((grid.size, d))
     states[0] = problem.z0
+    _, _, right_lim = problem.load.limits_many(grid)
     for k in range(grid.size - 1):
-        t_next = float(grid[k + 1])
-        tk = float(grid[k])
-        dt = t_next - tk
-        ell = problem.load.right_limit(t_next)
+        dt = float(grid[k + 1]) - float(grid[k])
+        ell = right_lim[k + 1]
         zk = states[k]
         H = A + (epsilon / dt) * np.eye(d)
         # gradient of the linearized energy at zk: A zk + D_zF(zk) - ell
@@ -100,11 +102,12 @@ def solve_viscous(
 def discrete_energy_gaps(traj: ViscousTrajectory, problem: RISProblem) -> np.ndarray:
     """Per-step energy-decrement residuals (<= 0 up to the smooth-part remainder)."""
     E = problem.energy.energy
+    _, _, right_lim = problem.load.limits_many(traj.time_grid)
     gaps = np.empty(traj.time_grid.size - 1)
     for k in range(gaps.size):
         dt = float(traj.time_grid[k + 1] - traj.time_grid[k])
         delta = traj.states[k + 1] - traj.states[k]
-        ell = problem.load.right_limit(float(traj.time_grid[k + 1]))
+        ell = right_lim[k + 1]
         gaps[k] = (
             E(traj.states[k + 1])
             + problem.R(delta)
@@ -113,25 +116,6 @@ def discrete_energy_gaps(traj: ViscousTrajectory, problem: RISProblem) -> np.nda
             - float(ell @ delta)
         )
     return gaps
-
-
-def _load_limits_on_grid(load, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One-sided load limits at every grid point, assuming the grid contains
-    every load breakpoint (so each non-node point lies inside one segment)."""
-    bp = load.breakpoints
-    nseg = bp.size - 1
-    seg = np.clip(np.searchsorted(bp, grid, side="right") - 1, 0, nseg - 1)
-    lam = ((grid - bp[seg]) / (bp[seg + 1] - bp[seg]))[:, None]
-    interior = (1.0 - lam) * load.right[seg] + lam * load.left[seg + 1]
-    left_lim, right_lim = interior.copy(), interior.copy()
-    tol = 1e-12 * np.maximum(1.0, np.abs(grid))
-    at_lo = np.abs(grid - bp[seg]) <= tol
-    left_lim[at_lo] = load.left[seg[at_lo]]
-    right_lim[at_lo] = load.right[seg[at_lo]]
-    at_hi = np.abs(grid - bp[seg + 1]) <= tol
-    left_lim[at_hi] = load.left[seg[at_hi] + 1]
-    right_lim[at_hi] = load.right[seg[at_hi] + 1]
-    return left_lim, right_lim
 
 
 def reparametrize(traj: ViscousTrajectory, problem: RISProblem) -> ParametrizedTuple:
@@ -143,7 +127,7 @@ def reparametrize(traj: ViscousTrajectory, problem: RISProblem) -> ParametrizedT
     """
     grid, states = traj.time_grid, traj.states
     R = problem.R
-    left_lim, right_lim = _load_limits_on_grid(problem.load, grid)
+    left_lim, _, right_lim = problem.load.limits_many(grid)
     G = problem.energy.grad_many(states)
     d0 = R.dist_to_elastic_many(right_lim[:-1] - G[:-1])
     d1 = R.dist_to_elastic_many(left_lim[1:] - G[1:])

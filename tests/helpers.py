@@ -16,7 +16,10 @@ from rislab import (
     ParametrizedTuple,
     PiecewisePath,
     RISProblem,
+    compose_monotone,
+    increasing_set,
     make_energy,
+    path_difference,
     polyhedral,
     scaled_norm,
     weighted_l1,
@@ -158,3 +161,132 @@ def random_local_solution(rng: np.random.Generator, d: int):
         stability_tol=1e-9,
     )
     return z, problem
+
+
+# ---------------------------------------------------------------------------
+# loop-based reference for the load conditions
+# ---------------------------------------------------------------------------
+# A per-segment, per-breakpoint transcription of load compatibility and load
+# match, kept independent of the array scan in ``rislab.checkers``.
+
+
+def _reference_plateau_intervals(t_hat, slope_tol: float = 1e-12) -> list[tuple[float, float]]:
+    """Maximal intervals on which t_hat is constant."""
+    out: list[list[float]] = []
+    for k in range(t_hat.n_segments):
+        if t_hat.segment_slope(k)[0] <= slope_tol:
+            lo, hi = float(t_hat.breakpoints[k]), float(t_hat.breakpoints[k + 1])
+            if out and abs(out[-1][1] - lo) <= 1e-14:
+                out[-1][1] = hi
+            else:
+                out.append([lo, hi])
+    return [(lo, hi) for lo, hi in out]
+
+
+def _reference_sup_dev_open(path, lo: float, hi: float, target: np.ndarray) -> float:
+    """Sup of ||path - target|| over the open interval (lo, hi), via limits."""
+    if hi - lo <= 1e-14:
+        return 0.0
+    sup = max(
+        float(np.linalg.norm(path.right_limit(lo) - target)),
+        float(np.linalg.norm(path.left_limit(hi) - target)),
+    )
+    for k, t in enumerate(path.breakpoints):
+        if lo + 1e-14 < t < hi - 1e-14:
+            for v in (path.left[k], path.values[k], path.right[k]):
+                sup = max(sup, float(np.linalg.norm(v - target)))
+    return sup
+
+
+def _reference_one_sided_loads(load, t_star: float, T: float):
+    """Left/right load limits with the 0- := 0 and T+ := T conventions."""
+    lminus = load(0.0) if t_star <= 1e-14 else load.left_limit(t_star)
+    lplus = load(T) if t_star >= T - 1e-14 else load.right_limit(t_star)
+    return lminus, lplus
+
+
+def _reference_set_dist(v, candidates) -> float:
+    return min(float(np.linalg.norm(v - c)) for c in candidates)
+
+
+def reference_load_compatibility(tup, problem):
+    """(residual, witness) of load compatibility, one segment/breakpoint at a time."""
+    load = problem.load
+    t_hat, ell_hat = tup.t_hat, tup.ell_hat
+    worst, wit = 0.0, None
+
+    plateaus = _reference_plateau_intervals(t_hat)
+
+    def in_plateau(s: float) -> bool:
+        return any(lo - 1e-14 <= s <= hi + 1e-14 for lo, hi in plateaus)
+
+    comp = compose_monotone(load, t_hat)
+    diff = path_difference(ell_hat, comp)
+    for k in range(diff.n_segments):
+        lo, hi = float(diff.breakpoints[k]), float(diff.breakpoints[k + 1])
+        mid = 0.5 * (lo + hi)
+        if in_plateau(mid):
+            continue
+        r = max(
+            float(np.linalg.norm(diff.right[k])),
+            float(np.linalg.norm(diff.left[k + 1])),
+        )
+        if r > worst:
+            worst, wit = r, {"interval": (lo, hi)}
+    for k, s in enumerate(diff.breakpoints):
+        s = float(s)
+        if in_plateau(s):
+            continue
+        t_star = float(np.clip(t_hat(s)[0], 0.0, problem.T))
+        lminus, lplus = _reference_one_sided_loads(load, t_star, problem.T)
+        r = _reference_set_dist(ell_hat(s), [load(t_star), lminus, lplus])
+        if r > worst:
+            worst, wit = r, {"s": s}
+
+    for lo, hi in plateaus:
+        t_star = float(np.clip(t_hat(0.5 * (lo + hi))[0], 0.0, problem.T))
+        lminus, lplus = _reference_one_sided_loads(load, t_star, problem.T)
+        allowed = [load(t_star), lminus, lplus]
+        cands = sorted(
+            {lo, hi}
+            | {float(s) for s in ell_hat.breakpoints if lo - 1e-14 <= s <= hi + 1e-14}
+            | set(np.linspace(lo, hi, 129))
+        )
+        best_v = np.inf
+        for s_star in cands:
+            v = max(
+                _reference_sup_dev_open(ell_hat, lo, s_star, lminus),
+                _reference_sup_dev_open(ell_hat, s_star, hi, lplus),
+                _reference_set_dist(ell_hat(s_star), allowed),
+            )
+            for k, s in enumerate(ell_hat.breakpoints):
+                s = float(s)
+                if lo - 1e-14 <= s < s_star - 1e-14:
+                    v = max(v, float(np.linalg.norm(ell_hat.values[k] - lminus)))
+                elif s_star + 1e-14 < s <= hi + 1e-14:
+                    v = max(v, float(np.linalg.norm(ell_hat.values[k] - lplus)))
+            if v < best_v - 1e-15:
+                best_v = v
+        if best_v > worst:
+            worst, wit = best_v, {"interval": (lo, hi), "time": t_star}
+    return worst, wit
+
+
+def reference_load_match(tup, problem):
+    """(residual, witness) of load match on the increasing set, segment by segment."""
+    comp = compose_monotone(problem.load, tup.t_hat)
+    diff = path_difference(tup.ell_hat, comp)
+    M = increasing_set(tup.t_hat)
+    worst, wit = 0.0, None
+    for k in range(diff.n_segments):
+        lo, hi = float(diff.breakpoints[k]), float(diff.breakpoints[k + 1])
+        mid = 0.5 * (lo + hi)
+        if not M.contains(mid):
+            continue
+        r = max(
+            float(np.linalg.norm(diff.right[k])),
+            float(np.linalg.norm(diff.left[k + 1])),
+        )
+        if r > worst:
+            worst, wit = r, {"interval": (lo, hi)}
+    return worst, wit

@@ -15,15 +15,18 @@ from rislab import (
     energy_residual,
     increasing_set,
 )
-from rislab.checkers import plateau_intervals
+from rislab.checkers import _load_compatibility_condition, _load_match_condition, _plateaus
+from rislab.construction import construct_relaxed_from_local
 from rislab.experiments import (
     counterexample1,
     counterexample1_limit,
     counterexample2,
     counterexample2_limit,
+    remark_asymmetric,
 )
+from rislab.viscous import reparametrize, solve_viscous
 
-from helpers import random_local_solution
+from helpers import random_local_solution, reference_load_compatibility, reference_load_match
 
 
 class TestIncreasingSet:
@@ -33,12 +36,12 @@ class TestIncreasingSet:
         )
         M = increasing_set(t_hat)
         assert M.intervals == ((0.0, 1.0), (1.5, 2.5))
-        assert plateau_intervals(t_hat) == [(1.0, 1.5)]
+        assert _plateaus(t_hat).tolist() == [[1.0, 1.5]]
 
     def test_strictly_increasing(self):
         t_hat = LipschitzPath.identity(0.0, 2.0)
         assert increasing_set(t_hat).intervals == ((0.0, 2.0),)
-        assert plateau_intervals(t_hat) == []
+        assert _plateaus(t_hat).tolist() == []
 
     def test_rejects_vector_valued(self):
         t_hat = LipschitzPath.from_samples([0.0, 1.0], [[0.0, 0.0], [1.0, 1.0]])
@@ -198,3 +201,70 @@ class TestReports:
         report = check_normalized_pbv(tup, problem)
         with pytest.raises(KeyError):
             report.condition("nonexistent")
+
+
+def _viscous_tuple(problem, step=5e-3):
+    return problem, reparametrize(solve_viscous(problem, 1e-2, step), problem)
+
+
+def _constructed_tuple():
+    problem, _, z_n = counterexample2(4)
+    return problem, construct_relaxed_from_local(z_n, problem).tuple
+
+
+# (problem, tuple) pairs: built-in, viscous and constructed
+TUPLES = {
+    "ce1": lambda: counterexample1(4),
+    "ce1_limit": counterexample1_limit,
+    "ce2": lambda: counterexample2(4)[:2],
+    "ce2_limit": lambda: counterexample2_limit()[:2],
+    "remark44": lambda: remark_asymmetric()[:2],
+    "viscous_ce1": lambda: _viscous_tuple(counterexample1(2)[0]),
+    "viscous_ce2": lambda: _viscous_tuple(counterexample2(2)[0]),
+    "constructed_ce2": _constructed_tuple,
+}
+
+
+class TestSharedConditions:
+    @pytest.mark.parametrize("name", sorted(TUPLES))
+    def test_relaxed_and_pbv_agree_on_shared_conditions(self, name):
+        problem, tup = TUPLES[name]()
+        pbv = check_normalized_pbv(tup, problem)
+        rel = check_relaxed(tup, problem)
+        for cid in ("endpoints", "complementarity", "normalization", "energy_identity"):
+            assert rel.condition(cid).residual == pbv.condition(cid).residual
+            assert rel.condition(cid).witness == pbv.condition(cid).witness
+        match = rel.condition("load_match_on_increasing_set").residual
+        assert match <= pbv.condition("load_compatibility").residual
+
+
+class TestLoadScan:
+    @pytest.mark.parametrize("name", sorted(TUPLES))
+    def test_matches_reference_on_unperturbed_tuples(self, name):
+        problem, tup = TUPLES[name]()
+        compat = _load_compatibility_condition(tup, problem)
+        assert compat == reference_load_compatibility(tup, problem)
+        assert _load_match_condition(tup, problem) == reference_load_match(tup, problem)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_reference_on_perturbed_viscous_tuples(self, seed):
+        rng = np.random.default_rng(seed)
+        family = counterexample1 if seed % 2 == 0 else counterexample2
+        problem, tup = _viscous_tuple(family(2)[0])
+        ell = tup.ell_hat
+        left, vals, right = ell.left.copy(), ell.values.copy(), ell.right.copy()
+        # separate nodes for jumps in the point value and in the limits, so
+        # both the breakpoint test and the segment scan see a violation
+        nodes = rng.choice(np.arange(1, ell.breakpoints.size - 1), size=4, replace=False)
+        vals[nodes[:2]] += rng.normal(scale=0.1, size=(2, ell.dim))
+        left[nodes[2]] += rng.normal(scale=0.1, size=ell.dim)
+        right[nodes[3]] += rng.normal(scale=0.1, size=ell.dim)
+        bumped = ParametrizedTuple(
+            S=tup.S, t_hat=tup.t_hat, z_hat=tup.z_hat,
+            ell_hat=PiecewisePath.from_nodes(ell.breakpoints, left, vals, right),
+        )
+        compat = _load_compatibility_condition(bumped, problem)
+        match = _load_match_condition(bumped, problem)
+        assert compat[0] > 0 and match[0] > 0
+        assert compat == reference_load_compatibility(bumped, problem)
+        assert match == reference_load_match(bumped, problem)

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rislab
 from rislab import to_csv
 from rislab.cli import main
 from rislab.experiments import counterexample2
@@ -141,6 +144,61 @@ class TestConfig:
         assert "missing required field" in err
 
 
+def ramp_config(**overrides) -> dict:
+    cfg = {
+        "energy": {"A": [[1.0]], "f": {"kind": "linear", "b": [-1.0]}},
+        "dissipation": {"kind": "scaled_norm", "alpha": 1.0},
+        "load": {"breakpoints": [0.0, 2.0], "values": [[0.0], [1.0]]},
+        "z0": [0.0],
+        "ell0": [0.0],
+        "T": 2.0,
+    }
+    cfg.update(overrides)
+    return cfg
+
+
+class TestBadInput:
+    """Malformed input exits 2 with a one-line message, never a traceback."""
+
+    def assert_one_line_error(self, code, err):
+        assert code == 2
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+    def test_path_csv_without_rows(self, capsys, tmp_path):
+        sol = tmp_path / "z.csv"
+        sol.write_text("t,left_1,value_1,right_1\n")
+        code, _, err = run(
+            capsys, "check", "--problem", "ce2", "--concept", "local", "--solution", str(sol)
+        )
+        self.assert_one_line_error(code, err)
+        assert "no data rows" in err
+
+    def test_unsorted_breakpoints(self, capsys, tmp_path):
+        sol = tmp_path / "z.csv"
+        sol.write_text("t,left_1,value_1,right_1\n0,0,0,0\n2,1,1,1\n1,0,0,0\n")
+        code, _, err = run(
+            capsys, "check", "--problem", "ce2", "--concept", "local", "--solution", str(sol)
+        )
+        self.assert_one_line_error(code, err)
+        assert "strictly increasing" in err
+
+    @pytest.mark.parametrize("field", ["values", "z0"])
+    def test_ragged_json_arrays(self, capsys, tmp_path, field):
+        ragged = [[0.0], [1.0, 2.0]]
+        if field == "values":
+            cfg = ramp_config(load={"breakpoints": [0.0, 2.0], "values": ragged})
+        else:
+            cfg = ramp_config(z0=ragged)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, _, err = run(
+            capsys, "check", "--config", str(path), "--concept", "local", "--solution", "zero"
+        )
+        self.assert_one_line_error(code, err)
+        assert "rectangular array" in err
+
+
 class TestFamilies:
     def test_counterexample1_summary(self, capsys, tmp_path):
         out_dir = str(tmp_path / "ce1")
@@ -155,6 +213,19 @@ class TestFamilies:
         code, out, _ = run(capsys, "counterexample2", "--ns", "2,4,8,16")
         assert code == 0
         assert "energy_inequality" in out
+
+    def test_builtin_run_is_silent_on_stderr(self):
+        # a fresh interpreter, so that no earlier test has already emitted a
+        # one-time message
+        src = os.path.dirname(os.path.dirname(rislab.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "rislab.cli", "counterexample1", "--ns", "1"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert "n=" in proc.stdout
+        assert proc.stderr == ""
 
     def test_bad_ns(self, capsys):
         code, _, err = run(capsys, "counterexample1", "--ns", "2,x")

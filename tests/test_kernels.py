@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 from rislab import (
     Dissipation,
     PreconditionError,
-    check_initial_stability,
     contact_potential,
-    make_energy,
     polyhedral,
     scaled_norm,
     weighted_l1,
@@ -185,16 +183,6 @@ class TestContactPotential:
         val = contact_potential(R, [1.0, -2.0], [0.5, 0.5])
         assert val.dist_part == 0.0
         assert val.total == pytest.approx(R([1.0, -2.0]))
-
-
-class TestInitialStability:
-    def test_stable_and_unstable(self):
-        energy = make_energy(np.eye(1), {"kind": "zero"})
-        R = scaled_norm(1.0)
-        ok, res = check_initial_stability(R, energy, [0.0], [0.5])
-        assert ok and res == 0.0
-        ok, res = check_initial_stability(R, energy, [0.0], [1.5])
-        assert not ok and res == pytest.approx(0.5)
 
 
 class TestConfig:

@@ -8,7 +8,6 @@ from rislab import (
     PiecewisePath,
     PreconditionError,
     RISProblem,
-    grad_I_hat,
     make_energy,
     scaled_norm,
 )
@@ -89,10 +88,11 @@ class TestRISProblem:
 
     def test_rejects_unstable_start(self):
         energy = make_energy(np.eye(1), {"kind": "zero"})
-        load = PiecewisePath.constant(0.0, 1.0, [2.0])
-        with pytest.raises(PreconditionError, match="stable"):
+        load = PiecewisePath.constant(0.0, 1.0, [1.5])
+        # the driving force 1.5 lies 0.5 outside the elastic set [-1, 1]
+        with pytest.raises(PreconditionError, match="not stable.*5.000e-01"):
             RISProblem(
-                energy=energy, R=scaled_norm(1.0), load=load, z0=[0.0], ell0=[2.0], T=1.0
+                energy=energy, R=scaled_norm(1.0), load=load, z0=[0.0], ell0=[1.5], T=1.0
             )
 
     def test_rejects_wrong_load_domain(self):
@@ -138,9 +138,3 @@ class TestParametrizedTuple:
             ParametrizedTuple(
                 S=3.0, t_hat=tup.t_hat, z_hat=tup.z_hat, ell_hat=tup.ell_hat
             )
-
-    def test_grad_I_hat(self):
-        tup = self.make()
-        energy = make_energy(np.eye(1), {"kind": "zero"})
-        g = grad_I_hat(energy, tup.ell_hat, 1.0, [3.0])
-        assert g[0] == pytest.approx(3.0)
