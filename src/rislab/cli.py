@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -210,6 +211,22 @@ def _parse_ns(text: str) -> list[int]:
         raise ConfigError(f"bad index list {text!r}")
 
 
+def _positive(text, option: str) -> float:
+    """``text`` as a finite number > 0, else a ConfigError naming ``option``."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{option} must be finite and > 0, got {text!r}")
+    return value
+
+
+# numeric options argparse keeps as text; main checks them with _positive so
+# that a bad value exits 2 with one line instead of argparse's usage block
+_POSITIVE_OPTIONS = ("tol", "epsilon", "step")
+
+
 def _cmd_counterexample(args, which: int) -> int:
     ns = _parse_ns(args.ns)
     if which == 1:
@@ -234,7 +251,7 @@ def _cmd_counterexample(args, which: int) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    eps = [float(x) for x in args.epsilons.split(",") if x]
+    eps = [_positive(x, "--epsilons") for x in args.epsilons.split(",")]
     rows = experiments.viscous_crosscheck(
         args.n, eps, benchmark=args.benchmark,
         step_rule=(lambda e: args.step) if args.step else None,
@@ -260,13 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON problem description")
         p.add_argument("--problem", help="built-in problem name (ce1, ce2, ...)")
         p.add_argument("--n", type=int, default=4, help="family index for built-ins")
-        p.add_argument("--tol", type=float, default=tol_default)
+        p.add_argument("--tol", default=tol_default)
         p.add_argument("--out", help="output directory")
 
     p = sub.add_parser("solve", help="viscous solve + arc-length reparametrization")
     common(p)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--step", type=float, default=None)
+    p.add_argument("--epsilon", required=True)
+    p.add_argument("--step", default=None)
     # solve always writes artifacts, so the output directory is mandatory
     p.set_defaults(fn=_cmd_solve, out_required=True)
 
@@ -296,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="viscosity sweep against the exact tuples")
     common(p)
     p.add_argument("--epsilons", default="1e-2,1e-3,1e-4")
-    p.add_argument("--step", type=float, default=None)
+    p.add_argument("--step", default=None)
     p.add_argument("--benchmark", type=int, default=1, choices=[1, 2])
     p.set_defaults(fn=_cmd_sweep)
     return parser
@@ -308,6 +325,9 @@ def main(argv=None) -> int:
     if getattr(args, "out_required", False) and not args.out:
         parser.error("solve requires --out")
     try:
+        for option in _POSITIVE_OPTIONS:
+            if getattr(args, option, None) is not None:
+                setattr(args, option, _positive(getattr(args, option), "--" + option))
         return args.fn(args)
     except RislabError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -313,47 +313,75 @@ def path_difference(f: PiecewisePath, g: PiecewisePath) -> PiecewisePath:
 # ---------------------------------------------------------------------------
 
 
-def _increment_sum(
-    f: PiecewisePath, a: float, b: float, cost: Callable[[np.ndarray], float]
-) -> float:
-    """Sum of cost(slope)*len over segments plus cost(jump increments) at nodes."""
+def _interval_grid(t1: float, t2: float, *paths: PiecewisePath) -> np.ndarray:
+    """Both ends of [t1, t2] plus every breakpoint of the paths inside it."""
+    ts = merge_breakpoints(*(p.breakpoints for p in paths), [t1, t2])
+    return ts[(ts >= t1 - BREAKPOINT_MERGE_TOL) & (ts <= t2 + BREAKPOINT_MERGE_TOL)]
+
+
+def _increment_gaps(f: PiecewisePath, ts: np.ndarray, cost_many) -> np.ndarray:
+    """Increment cost of f over each gap [ts[i], ts[i+1]] of a sorted grid.
+
+    ``ts`` must contain every breakpoint of f in its range.  A gap costs its
+    segment increment (cost is positively 1-homogeneous, so cost(slope) *
+    length is the cost of the increment across the segment), the right-side
+    jump increment at its left end and the left-side one at its right end.
+    ``cost_many`` evaluates the cost row-wise on an (N, d) array.
+    """
+    left, vals, right = f.limits_many(ts)
+    n = ts.size - 1
+    incs = np.concatenate([left[1:] - right[:-1], right[:-1] - vals[:-1], vals[1:] - left[1:]])
+    return cost_many(incs).reshape(3, n).sum(axis=0)
+
+
+def _stieltjes_gaps(z: PiecewisePath, ell: PiecewisePath, ts: np.ndarray) -> np.ndarray:
+    """Integral of z against dl over each gap [ts[i], ts[i+1]] of a sorted grid.
+
+    ``ts`` must contain every breakpoint of z and l in its range.  On the open
+    gap l' is constant and z affine, so the midpoint of z's one-sided limits
+    integrates exactly; the right-side jump of l at the left end and the
+    left-side jump at the right end are weighted with the point value of z.
+    """
+    zl, zv, zr = z.limits_many(ts)
+    ll, lv, lr = ell.limits_many(ts)
+    seg = np.einsum("kd,kd->k", 0.5 * (zr[:-1] + zl[1:]), ll[1:] - lr[:-1])
+    out = np.einsum("kd,kd->k", zv[:-1], lr[:-1] - lv[:-1])
+    into = np.einsum("kd,kd->k", zv[1:], lv[1:] - ll[1:])
+    return seg + out + into
+
+
+def _increment_sum(f: PiecewisePath, a: float, b: float, cost_many) -> float:
+    """Sum of the per-gap increment costs of f over [a, b]."""
     a, b = _clip_interval(f, a, b)
     if b - a <= BREAKPOINT_MERGE_TOL:
         return 0.0
-    total = 0.0
-    bp = f.breakpoints
-    for k in range(f.n_segments):
-        lo, hi = max(bp[k], a), min(bp[k + 1], b)
-        if hi - lo > 0:
-            total += cost(f.segment_slope(k)) * (hi - lo)
-    for k, t in enumerate(bp):
-        if t < a - BREAKPOINT_MERGE_TOL or t > b + BREAKPOINT_MERGE_TOL:
-            continue
-        at_a = abs(t - a) <= BREAKPOINT_MERGE_TOL
-        at_b = abs(t - b) <= BREAKPOINT_MERGE_TOL
-        if not at_a:
-            total += cost(f.values[k] - f.left[k])
-        if not at_b:
-            total += cost(f.right[k] - f.values[k])
-    return total
+    return float(np.sum(_increment_gaps(f, _interval_grid(a, b, f), cost_many)))
 
 
 def total_variation(f: PiecewisePath, a: float | None = None, b: float | None = None) -> float:
-    """Exact total variation of f over [a, b] (default: the whole domain)."""
+    """Exact total variation of f over [a, b] (default: the whole domain).
+
+    Additive over adjacent intervals, with the endpoint conventions of
+    ``dissipation``.
+    """
     a = f.a if a is None else a
     b = f.b if b is None else b
-    return _increment_sum(f, a, b, lambda v: float(np.linalg.norm(v)))
+    return _increment_sum(f, a, b, lambda V: np.linalg.norm(V, axis=1))
 
 
 def dissipation(R, z: PiecewisePath, t1: float | None = None, t2: float | None = None) -> float:
     """Exact R-dissipation of z over [t1, t2].
 
     Segments contribute R(slope) * length (R is positively 1-homogeneous) and
-    every jump contributes R of its one-sided increments.
+    every jump contributes R of its one-sided increments.  At the interval
+    ends only the inward increment counts: the right-side increment
+    R(z(t1+) - z(t1)) at t1 and the left-side one R(z(t2) - z(t2-)) at t2.
+    So the dissipation is additive over adjacent intervals,
+    Diss(t1, t) + Diss(t, t2) = Diss(t1, t2), also when t is a jump point.
     """
     t1 = z.a if t1 is None else t1
     t2 = z.b if t2 is None else t2
-    return _increment_sum(z, t1, t2, lambda v: float(R(v)))
+    return _increment_sum(z, t1, t2, R.eval_many)
 
 
 def kurzweil_stieltjes(z: PiecewisePath, ell: PiecewisePath, t1: float, t2: float) -> float:
@@ -363,36 +391,17 @@ def kurzweil_stieltjes(z: PiecewisePath, ell: PiecewisePath, t1: float, t2: floa
     affine per segment).  An interior jump of the integrator at t contributes
     the point value times the two-sided increment, <z(t), l(t+) - l(t-)>, so a
     load that differs from a continuous one only in its value at a single
-    point integrates to zero against any path.  The endpoints use their
-    one-sided increments only.
+    point integrates to zero against any path.  The interval ends use their
+    inward one-sided increments only: <z(t1), l(t1+) - l(t1)> at t1 and
+    <z(t2), l(t2) - l(t2-)> at t2.  So the integral is additive over adjacent
+    intervals, KS(t1, t) + KS(t, t2) = KS(t1, t2), also when t is a jump point
+    of z or of l.
     """
     _clip_interval(z, t1, t2)
     t1, t2 = _clip_interval(ell, t1, t2)
     if t2 - t1 <= BREAKPOINT_MERGE_TOL:
         return 0.0
-    ts = merge_breakpoints(z.breakpoints, ell.breakpoints, [t1, t2])
-    ts = ts[(ts >= t1 - BREAKPOINT_MERGE_TOL) & (ts <= t2 + BREAKPOINT_MERGE_TOL)]
-    total = 0.0
-    for lo, hi in zip(ts[:-1], ts[1:]):
-        # l' is constant and z affine on (lo, hi), so the midpoint value of z
-        # gives the integral exactly
-        ql = (ell.left_limit(hi) - ell.right_limit(lo)) / (hi - lo)
-        mid = 0.5 * (z.right_limit(lo) + z.left_limit(hi))
-        total += (hi - lo) * float(np.dot(mid, ql))
-    for k, t in enumerate(ell.breakpoints):
-        if t < t1 - BREAKPOINT_MERGE_TOL or t > t2 + BREAKPOINT_MERGE_TOL:
-            continue
-        if abs(t - t1) <= BREAKPOINT_MERGE_TOL:
-            inc = ell.right[k] - ell.values[k]
-            zt = z(t1)
-        elif abs(t - t2) <= BREAKPOINT_MERGE_TOL:
-            inc = ell.values[k] - ell.left[k]
-            zt = z(t2)
-        else:
-            inc = ell.right[k] - ell.left[k]
-            zt = z(t)
-        total += float(np.dot(zt, inc))
-    return total
+    return float(np.sum(_stieltjes_gaps(z, ell, _interval_grid(t1, t2, z, ell))))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ class ViscousTrajectory:
     rates: np.ndarray  # (n-1, d) difference quotients
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        if not (self.epsilon > 0):
             raise PreconditionError("epsilon must be positive")
         if self.time_grid.ndim != 1 or self.states.shape[0] != self.time_grid.size:
             raise PreconditionError("grid/state shape mismatch")
@@ -75,10 +75,10 @@ def solve_viscous(
     limits at all grid points are read from one ``limits_many`` call before
     the loop.
     """
-    if epsilon <= 0:
+    if not (epsilon > 0):
         raise PreconditionError("epsilon must be positive")
     tau = epsilon / 10.0 if step is None else float(step)
-    if tau <= 0:
+    if not (tau > 0):
         raise PreconditionError("step must be positive")
     n = max(int(np.ceil(problem.T / tau)), 1)
     grid = merge_breakpoints(np.linspace(0.0, problem.T, n + 1), problem.load.breakpoints)

@@ -19,6 +19,7 @@ from rislab import (
     compose_monotone,
     increasing_set,
     make_energy,
+    merge_breakpoints,
     path_difference,
     polyhedral,
     scaled_norm,
@@ -31,8 +32,13 @@ def random_spd(rng: np.random.Generator, d: int) -> np.ndarray:
     return Q @ Q.T + d * np.eye(d)
 
 
-def random_kernel(rng: np.random.Generator, d: int) -> Dissipation:
-    kind = rng.choice(["scaled_norm", "weighted_l1", "polyhedral"])
+KERNEL_KINDS = ("scaled_norm", "weighted_l1", "polyhedral")
+
+
+def random_kernel(rng: np.random.Generator, d: int, kind: str | None = None) -> Dissipation:
+    """A random kernel of the given kind (default: a random kind)."""
+    if kind is None:
+        kind = rng.choice(list(KERNEL_KINDS))
     if kind == "scaled_norm":
         return scaled_norm(float(rng.uniform(0.3, 2.0)))
     if kind == "weighted_l1":
@@ -163,6 +169,26 @@ def random_local_solution(rng: np.random.Generator, d: int):
     return z, problem
 
 
+def with_drift_and_jumps(rng: np.random.Generator, z: PiecewisePath) -> PiecewisePath:
+    """A BV copy of z that no longer balances its energy.
+
+    Adds a random linear drift (so no segment stays constant) and, at two
+    interior nodes, a moved point value plus a constant shift of the rest of
+    the path.  The drift keeps the worst pair of the energy inequality from
+    being tied to rounding along a plateau.
+    """
+    drift = rng.normal(scale=0.3, size=z.dim) * z.breakpoints[:, None]
+    left, vals, right = z.left + drift, z.values + drift, z.right + drift
+    n = z.breakpoints.size
+    for k in rng.choice(np.arange(1, n - 1), size=min(2, n - 2), replace=False):
+        shift = rng.normal(scale=0.3, size=z.dim)
+        vals[k] += rng.normal(scale=0.3, size=z.dim)
+        right[k:] += shift
+        left[k + 1 :] += shift
+        vals[k + 1 :] += shift
+    return PiecewisePath.from_nodes(z.breakpoints, left, vals, right)
+
+
 # ---------------------------------------------------------------------------
 # loop-based reference for the load conditions
 # ---------------------------------------------------------------------------
@@ -290,3 +316,82 @@ def reference_load_match(tup, problem):
         if r > worst:
             worst, wit = r, {"interval": (lo, hi)}
     return worst, wit
+
+
+# ---------------------------------------------------------------------------
+# pair-loop reference for the energy inequality of local solutions
+# ---------------------------------------------------------------------------
+# The O(P^2 K) transcription: every (t1, t2) pair of the physical grid gets
+# its dissipation and Stieltjes integral recomputed segment by segment and
+# jump by jump, independent of the per-gap kernels and the prefix scan in
+# ``rislab``.
+
+_MERGE_TOL = 1e-12
+
+
+def _reference_increment_sum(f, a: float, b: float, cost) -> float:
+    """Sum of cost(slope)*len over segments plus cost(jump increments) at nodes."""
+    a, b = max(a, f.a), min(b, f.b)
+    if b - a <= _MERGE_TOL:
+        return 0.0
+    total = 0.0
+    bp = f.breakpoints
+    for k in range(f.n_segments):
+        lo, hi = max(bp[k], a), min(bp[k + 1], b)
+        if hi - lo > 0:
+            total += cost(f.segment_slope(k)) * (hi - lo)
+    for k, t in enumerate(bp):
+        if t < a - _MERGE_TOL or t > b + _MERGE_TOL:
+            continue
+        if abs(t - a) > _MERGE_TOL:
+            total += cost(f.values[k] - f.left[k])
+        if abs(t - b) > _MERGE_TOL:
+            total += cost(f.right[k] - f.values[k])
+    return total
+
+
+def reference_dissipation(R, z, t1: float, t2: float) -> float:
+    return _reference_increment_sum(z, t1, t2, lambda v: float(R(v)))
+
+
+def reference_kurzweil_stieltjes(z, ell, t1: float, t2: float) -> float:
+    """Integral of z against dl over [t1, t2], one segment and one jump at a time."""
+    t1, t2 = max(t1, ell.a), min(t2, ell.b)
+    if t2 - t1 <= _MERGE_TOL:
+        return 0.0
+    ts = merge_breakpoints(z.breakpoints, ell.breakpoints, [t1, t2])
+    ts = ts[(ts >= t1 - _MERGE_TOL) & (ts <= t2 + _MERGE_TOL)]
+    total = 0.0
+    for lo, hi in zip(ts[:-1], ts[1:]):
+        ql = (ell.left_limit(hi) - ell.right_limit(lo)) / (hi - lo)
+        mid = 0.5 * (z.right_limit(lo) + z.left_limit(hi))
+        total += (hi - lo) * float(np.dot(mid, ql))
+    for k, t in enumerate(ell.breakpoints):
+        if t < t1 - _MERGE_TOL or t > t2 + _MERGE_TOL:
+            continue
+        if abs(t - t1) <= _MERGE_TOL:
+            inc, zt = ell.right[k] - ell.values[k], z(t1)
+        elif abs(t - t2) <= _MERGE_TOL:
+            inc, zt = ell.values[k] - ell.left[k], z(t2)
+        else:
+            inc, zt = ell.right[k] - ell.left[k], z(t)
+        total += float(np.dot(zt, inc))
+    return total
+
+
+def reference_energy_inequality(z, problem, grid=None):
+    """(residual, witness) of the energy inequality, one (t1, t2) pair at a time."""
+    base = grid if grid is not None else np.linspace(0.0, problem.T, 17)
+    pts = merge_breakpoints(base, z.breakpoints, problem.load.breakpoints)
+    worst, wit = 0.0, None
+    for i, t1 in enumerate(pts):
+        for t2 in pts[i:]:
+            gap = (
+                problem.value_I(t2, z(t2))
+                + reference_dissipation(problem.R, z, t1, t2)
+                - problem.value_I(t1, z(t1))
+                + reference_kurzweil_stieltjes(z, problem.load, t1, t2)
+            )
+            if gap > worst:
+                worst, wit = gap, {"t1": float(t1), "t2": float(t2)}
+    return max(worst, 0.0), wit

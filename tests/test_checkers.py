@@ -26,7 +26,13 @@ from rislab.experiments import (
 )
 from rislab.viscous import reparametrize, solve_viscous
 
-from helpers import random_local_solution, reference_load_compatibility, reference_load_match
+from helpers import (
+    random_local_solution,
+    reference_energy_inequality,
+    reference_load_compatibility,
+    reference_load_match,
+    with_drift_and_jumps,
+)
 
 
 class TestIncreasingSet:
@@ -268,3 +274,42 @@ class TestLoadScan:
         assert compat[0] > 0 and match[0] > 0
         assert compat == reference_load_compatibility(bumped, problem)
         assert match == reference_load_match(bumped, problem)
+
+
+def _local_case(name: str):
+    """(state, problem, expect_failure) for a ramp-drop or random local input."""
+    kind, arg = name.split("-")
+    if kind == "ce2":
+        problem, _, z = counterexample2(int(arg))
+        return z, problem, False
+    if kind == "ce2_limit":
+        problem, _, z = counterexample2_limit()
+        return z, problem, True
+    seed = int(arg)
+    rng = np.random.default_rng(seed)
+    z, problem = random_local_solution(rng, 1 + seed % 2)
+    if kind == "jumps":
+        return with_drift_and_jumps(rng, z), problem, True
+    return z, problem, False
+
+
+LOCAL_CASES = (
+    [f"ce2-{n}" for n in (1, 2, 4, 8)]
+    + ["ce2_limit-0"]
+    + [f"random-{seed}" for seed in range(20)]
+    + [f"jumps-{seed}" for seed in range(20)]
+)
+
+
+class TestEnergyScan:
+    """The prefix scan of check_local against the O(P^2 K) pair loop."""
+
+    @pytest.mark.parametrize("name", LOCAL_CASES)
+    def test_matches_pair_loop(self, name):
+        z, problem, expect_failure = _local_case(name)
+        cond = check_local(z, problem).condition("energy_inequality")
+        residual, witness = reference_energy_inequality(z, problem)
+        assert abs(cond.residual - residual) <= 1e-12
+        assert cond.passed != expect_failure
+        if not cond.passed:
+            assert cond.witness == witness

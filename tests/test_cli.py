@@ -198,6 +198,28 @@ class TestBadInput:
         self.assert_one_line_error(code, err)
         assert "rectangular array" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--epsilons", "abc"],
+            ["sweep", "--epsilons", "nan"],
+            ["sweep", "--epsilons", ","],
+            ["sweep", "--step", "nan"],
+            ["solve", "--problem", "ce1", "--epsilon", "1e-2", "--step", "nan"],
+            ["solve", "--problem", "ce1", "--epsilon", "nan"],
+            ["check", "--problem", "ce1", "--concept", "pbv", "--tol", "nan"],
+        ],
+        ids=["epsilons-abc", "epsilons-nan", "epsilons-empty", "sweep-step-nan",
+             "solve-step-nan", "solve-epsilon-nan", "check-tol-nan"],
+    )
+    def test_bad_numeric_option(self, capsys, tmp_path, argv):
+        if argv[0] == "solve":
+            argv = [*argv, "--out", str(tmp_path / "solve")]
+        code, out, err = run(capsys, *argv)
+        self.assert_one_line_error(code, err)
+        assert "finite and > 0" in err
+        assert out == ""
+
 
 class TestFamilies:
     def test_counterexample1_summary(self, capsys, tmp_path):

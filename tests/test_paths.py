@@ -22,9 +22,10 @@ from rislab import (
     sup_distance,
     total_variation,
 )
+from rislab.oracles import dissipation_by_refinement
 from rislab.paths import from_csv, path_from_string, path_to_string, to_csv
 
-from helpers import random_bv_path, random_continuous_path
+from helpers import KERNEL_KINDS, random_bv_path, random_continuous_path, random_kernel
 
 
 def step_path():
@@ -265,16 +266,64 @@ class TestSerialization:
             from_csv(io.StringIO("x,y\n0,1\n"))
 
 
+def _split_points(rng, *paths):
+    """A uniform split point plus every interior breakpoint (jumps included)."""
+    inner = [float(t) for p in paths for t in p.breakpoints[1:-1]]
+    return [float(rng.uniform(0.05, 0.95)), *inner]
+
+
+def _assert_additive(integral, rng, *paths):
+    """|F(0, t) + F(t, 1) - F(0, 1)| <= 1e-12 at every split point t."""
+    total = integral(0.0, 1.0)
+    for t in _split_points(rng, *paths):
+        assert abs(integral(0.0, t) + integral(t, 1.0) - total) <= 1e-12
+
+
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=30, deadline=None)
 def test_variation_additive_property(seed):
     rng = np.random.default_rng(seed)
     p = random_bv_path(rng, 2, 0.0, 1.0, 4)
-    t = float(rng.uniform(0.05, 0.95))
-    lhs = total_variation(p, 0.0, t) + total_variation(p, t, 1.0)
-    # splitting at t drops at most nothing: the point-value detour at t
-    assert total_variation(p) <= lhs + 1e-9
-    assert lhs <= total_variation(p) + 2.0 * np.linalg.norm(p.values[0]) + 1e10  # sanity
+    _assert_additive(lambda a, b: total_variation(p, a, b), rng, p)
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=30, deadline=None)
+def test_dissipation_additive_property(kind, seed):
+    rng = np.random.default_rng(seed)
+    d = 1 + seed % 3
+    R = random_kernel(rng, d, kind)
+    z = random_bv_path(rng, d, 0.0, 1.0, 4)
+    _assert_additive(lambda a, b: dissipation(R, z, a, b), rng, z)
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=30, deadline=None)
+def test_kurzweil_additive_property(seed):
+    rng = np.random.default_rng(seed)
+    z = random_bv_path(rng, 2, 0.0, 1.0, 3)
+    ell = random_bv_path(rng, 2, 0.0, 1.0, 3)
+    _assert_additive(lambda a, b: kurzweil_stieltjes(z, ell, a, b), rng, z, ell)
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_dissipation_matches_refinement_oracle_on_bv_paths(kind):
+    # partition sums never exceed the dissipation; a cell of width at most
+    # h = (t2 - t1) 2^-levels next to a breakpoint misses at most 2 h R(slope)
+    # of each adjacent segment
+    rng = np.random.default_rng(17)
+    levels = 12
+    for i in range(10):
+        d = 1 + i % 3
+        R = random_kernel(rng, d, kind)
+        z = random_bv_path(rng, d, 0.0, 1.0, int(rng.integers(2, 6)))
+        t1, t2 = sorted(rng.uniform(0.0, 1.0, size=2))
+        fast = dissipation(R, z, t1, t2)
+        slow = dissipation_by_refinement(R, z, t1, t2, levels)
+        h = (t2 - t1) / 2**levels
+        assert slow <= fast + 1e-12
+        assert fast - slow <= 4.0 * h * sum(R(v) for v in z.slopes())
 
 
 @given(st.integers(min_value=0, max_value=10_000))

@@ -34,6 +34,9 @@ class TestSolve:
             solve_viscous(p, epsilon=0.0)
         with pytest.raises(PreconditionError):
             solve_viscous(p, epsilon=1e-2, step=-1.0)
+        for bad in ({"epsilon": float("nan")}, {"epsilon": 1e-2, "step": float("nan")}):
+            with pytest.raises(PreconditionError):
+                solve_viscous(p, **bad)
 
     def test_grid_contains_load_breakpoints(self):
         problem, _ = counterexample1(4)
